@@ -1,25 +1,26 @@
 """Spark benchmark harness: codecs as per-partition UDFs (§5.1.1).
 
-The work unit is one (dataset, block, method) triple carried as a row of
-a Spark DataFrame with a binary payload column; ``mapInPandas`` runs the
-codec inside the executor (compress, decompress, verify bit-exact
-roundtrip, time both), and every metric table (4, 5, 6, 7, 8, 9, 10) is
-a Spark SQL aggregation over the result DataFrame — Catalyst does the
+The driver splits every dataset into its (dataset, block) payloads once
+and places them in one bin per core, longest first by payload bytes.
+Each bin is one Spark task: ``mapInPandas`` runs every method on every
+block of its bin inside the executor (compress, decompress, verify
+bit-exact roundtrip, time both) and emits one result row per
+(dataset, block, method). Every metric table (4, 5, 6, 7, 8, 9, 10) is a
+Spark SQL aggregation over the result DataFrame — Catalyst does the
 grouping/harmonic means, and tests cross-check those aggregations against
 the DuckDB oracle.
 """
 from __future__ import annotations
 
-import json
+import heapq
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
-    BinaryType,
     BooleanType,
     LongType,
     StringType,
@@ -45,18 +46,16 @@ RESULT_SCHEMA = StructType(
     ]
 )
 
-_WORK_SCHEMA = StructType(
-    [
-        StructField("dataset", StringType()),
-        StructField("domain", StringType()),
-        StructField("method", StringType()),
-        StructField("block_id", LongType()),
-        StructField("dtype", StringType()),
-        StructField("dims", StringType()),
-        StructField("repeats", LongType()),
-        StructField("payload", BinaryType()),
-    ]
-)
+
+class Block(NamedTuple):
+    """One (dataset, block) payload; every method runs on it."""
+
+    dataset: str
+    domain: str
+    block_id: int
+    dtype: str
+    dims: tuple[int, ...] | None
+    payload: bytes
 
 
 def _split_payloads(arr: np.ndarray, block_bytes: int | None) -> list[bytes]:
@@ -68,95 +67,94 @@ def _split_payloads(arr: np.ndarray, block_bytes: int | None) -> list[bytes]:
     return [raw[o : o + step] for o in range(0, len(raw), step)] or [b""]
 
 
-def build_work_df(
-    spark: SparkSession,
-    methods: Sequence[str],
+def plan_bins(
+    cores: int,
     *,
     scale: float = 1.0,
     datasets: Sequence[str] | None = None,
     block_bytes: int | None = None,
     use_dims: bool = True,
-    repeats: int = 1,
-) -> DataFrame:
-    """One row per (dataset, block, method) with the raw payload bytes."""
+) -> list[list[Block]]:
+    """Split every dataset into blocks once and pack them into one bin per core.
+
+    ``min(#blocks, cores)`` bins, filled longest first by payload bytes
+    (LPT): every block runs the same methods, so bytes is the cost proxy.
+    Ties break on (dataset, block_id), so the plan depends only on the
+    inputs, not on the order of ``datasets``.
+    """
     specs = [get_spec(n) for n in datasets] if datasets else corpus()
-    rows = []
+    blocks = []
     for spec in specs:
         arr = generate(spec, scale)
         # dims metadata only applies when compressing the whole dataset —
         # a byte-range block no longer matches the logical grid extent
         whole = block_bytes is None
-        dims = list(arr.shape) if (whole and use_dims and arr.ndim > 1) else None
+        dims = tuple(arr.shape) if (whole and use_dims and arr.ndim > 1) else None
         for block_id, payload in enumerate(_split_payloads(arr, block_bytes)):
-            for m in methods:
-                rows.append(
-                    {
-                        "dataset": spec.name,
-                        "domain": spec.domain,
-                        "method": m,
-                        "block_id": block_id,
-                        "dtype": str(arr.dtype),
-                        "dims": json.dumps(dims) if block_id == 0 and dims else "",
-                        "repeats": repeats,
-                        "payload": payload,
-                    }
-                )
-    df = spark.createDataFrame(pd.DataFrame(rows), schema=_WORK_SCHEMA)
-    # spread slow (method, dataset) cells across cores
-    return df.repartition(max(spark.sparkContext.defaultParallelism * 2, len(rows) // 4 + 1))
+            blocks.append(
+                Block(spec.name, spec.domain, block_id, str(arr.dtype), dims, payload)
+            )
+    bins: list[list[Block]] = [[] for _ in range(min(len(blocks), cores))]
+    loads = [(0, i) for i in range(len(bins))]  # (bytes, bin) min-heap
+    for b in sorted(blocks, key=lambda b: (-len(b.payload), b.dataset, b.block_id)):
+        load, i = heapq.heappop(loads)
+        bins[i].append(b)
+        heapq.heappush(loads, (load + len(b.payload), i))
+    return bins
 
 
-def _run_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    """Executor-side worker: run each codec on its payload and time it."""
+def _run_block(block: Block, method: str, repeats: int) -> tuple:
+    """Compress, decompress, verify and time one cell; a RESULT_SCHEMA row."""
     from repro.codecs.base import CodecFailure, load_codec  # executor import
 
-    for pdf in batches:
-        out = []
-        for row in pdf.itertuples(index=False):
-            arr = np.frombuffer(bytes(row.payload), dtype=np.dtype(row.dtype))
-            dims = tuple(json.loads(row.dims)) if row.dims else None
-            rec = {
-                "dataset": row.dataset,
-                "domain": row.domain,
-                "method": row.method,
-                "block_id": int(row.block_id),
-                "orig_bytes": int(arr.nbytes),
-                "comp_bytes": None,
-                "comp_ns": None,
-                "decomp_ns": None,
-                "ok": False,
-                "error": None,
-            }
-            try:
-                codec = load_codec(row.method)
-                reps = max(int(row.repeats), 1)
-                comp_ns = decomp_ns = 2**63 - 1
-                blob = b""
-                for _ in range(reps):  # paper: repeated runs, best-of kept stable
-                    t0 = time.perf_counter_ns()
-                    blob = codec.compress(arr, dims=dims)
-                    comp_ns = min(comp_ns, time.perf_counter_ns() - t0)
-                out_arr = np.zeros(0)
-                for _ in range(reps):
-                    t0 = time.perf_counter_ns()
-                    out_arr = codec.decompress(blob)
-                    decomp_ns = min(decomp_ns, time.perf_counter_ns() - t0)
-                ok = bool(
-                    np.array_equal(out_arr.view(np.uint8), arr.view(np.uint8))
-                )
-                rec.update(
-                    comp_bytes=len(blob),
-                    comp_ns=int(comp_ns),
-                    decomp_ns=int(decomp_ns),
-                    ok=ok,
-                    error=None if ok else "roundtrip mismatch",
-                )
-            except CodecFailure as e:
-                rec["error"] = f"-: {e}"
-            except Exception as e:  # runtime errors: the paper's killed runs
-                rec["error"] = f"{type(e).__name__}: {e}"
-            out.append(rec)
-        yield pd.DataFrame(out, columns=[f.name for f in RESULT_SCHEMA.fields])
+    arr = np.frombuffer(block.payload, dtype=np.dtype(block.dtype))
+    measured = (None, None, None)  # comp_bytes, comp_ns, decomp_ns
+    ok, error = False, None
+    try:
+        codec = load_codec(method)
+        reps = max(repeats, 1)
+        comp_ns = decomp_ns = 2**63 - 1
+        blob = b""
+        for _ in range(reps):  # paper: repeated runs, best-of kept stable
+            t0 = time.perf_counter_ns()
+            blob = codec.compress(arr, dims=block.dims)
+            comp_ns = min(comp_ns, time.perf_counter_ns() - t0)
+        out_arr = np.zeros(0)
+        for _ in range(reps):
+            t0 = time.perf_counter_ns()
+            out_arr = codec.decompress(blob)
+            decomp_ns = min(decomp_ns, time.perf_counter_ns() - t0)
+        ok = bool(np.array_equal(out_arr.view(np.uint8), arr.view(np.uint8)))
+        measured = (len(blob), int(comp_ns), int(decomp_ns))
+        error = None if ok else "roundtrip mismatch"
+    except CodecFailure as e:
+        error = f"-: {e}"
+    except Exception as e:  # runtime errors: the paper's killed runs
+        error = f"{type(e).__name__}: {e}"
+    row = (block.dataset, block.domain, method, block.block_id, int(arr.nbytes))
+    return (*row, *measured, ok, error)
+
+
+def run_bins(
+    spark: SparkSession,
+    bins: Sequence[Sequence[Block]],
+    methods: Sequence[str],
+    repeats: int = 1,
+) -> DataFrame:
+    """One Spark task per bin, running every method on every block in it.
+
+    The bins travel in the pickled closure, so each payload is shipped
+    once, not once per method; the range id selects the task's bin.
+    """
+    methods, n = list(methods), len(bins)
+
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            for i in pdf["id"]:
+                recs = [_run_block(b, m, repeats) for b in bins[i] for m in methods]
+                yield pd.DataFrame(recs, columns=RESULT_SCHEMA.fieldNames())
+
+    return spark.range(0, n, 1, n).mapInPandas(kernel, schema=RESULT_SCHEMA)
 
 
 def run_benchmark(
@@ -164,9 +162,14 @@ def run_benchmark(
     methods: Sequence[str] = tuple(TABLE4_METHODS),
     **kwargs,
 ) -> DataFrame:
-    """Run the codec sweep; returns the per-(dataset, block, method) results."""
-    work = build_work_df(spark, methods, **kwargs)
-    return work.mapInPandas(_run_partition, schema=RESULT_SCHEMA)
+    """Run the codec sweep; returns the per-(dataset, block, method) results.
+
+    ``repeats`` is the timed runs per cell (best kept); the other keywords
+    go to :func:`plan_bins`, with one bin per core of the session.
+    """
+    repeats = kwargs.pop("repeats", 1)
+    bins = plan_bins(spark.sparkContext.defaultParallelism, **kwargs)
+    return run_bins(spark, bins, methods, repeats)
 
 
 def per_dataset_metrics(results: DataFrame) -> DataFrame:
@@ -191,8 +194,9 @@ def per_dataset_metrics(results: DataFrame) -> DataFrame:
     pcie = F.lit(PCIE_BYTES_PER_SEC)
     comp_s = F.col("comp_ns") / 1e9
     decomp_s = F.col("decomp_ns") / 1e9
-    comp_xfer = (F.col("orig_bytes") + F.col("comp_bytes")) / pcie
-    decomp_xfer = (F.col("orig_bytes") + F.col("comp_bytes")) / pcie
+    # compress and decompress each move the original and the compressed
+    # bytes across PCIe once, in opposite directions
+    xfer = (F.col("orig_bytes") + F.col("comp_bytes")) / pcie
     return agg.select(
         "dataset",
         "domain",
@@ -203,10 +207,10 @@ def per_dataset_metrics(results: DataFrame) -> DataFrame:
         (F.col("orig_bytes") / comp_s / 1e9).alias("ct_gbs"),
         (F.col("orig_bytes") / decomp_s / 1e9).alias("dt_gbs"),
         (
-            F.when(is_gpu, (comp_s + comp_xfer) * 1e3).otherwise(comp_s * 1e3)
+            F.when(is_gpu, (comp_s + xfer) * 1e3).otherwise(comp_s * 1e3)
         ).alias("comp_wall_ms"),
         (
-            F.when(is_gpu, (decomp_s + decomp_xfer) * 1e3).otherwise(decomp_s * 1e3)
+            F.when(is_gpu, (decomp_s + xfer) * 1e3).otherwise(decomp_s * 1e3)
         ).alias("decomp_wall_ms"),
     )
 
@@ -224,6 +228,10 @@ def failures(results: DataFrame) -> DataFrame:
 
 
 # --- Tables 7/8: parallel scaling -------------------------------------------
+
+#: One row per fixed-size chunk of the scaling dataset.
+_CHUNK_SCHEMA = "method string, dtype string, payload binary"
+
 
 def _compress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
     from repro.codecs.base import load_codec
@@ -278,47 +286,32 @@ def scaling_benchmark(
     ]
     total = len(raw)
 
-    def work_pdf(payloads):
-        return pd.DataFrame(
-            {
-                "dataset": dataset,
-                "domain": "HPC",
-                "method": method,
-                "block_id": range(len(payloads)),
-                "dtype": dtype,
-                "dims": "",
-                "repeats": 1,
-                "payload": payloads,
-            }
-        )
+    def timed_count(payloads, fn, column: str, p: int) -> float:
+        """Wall seconds of one ``fn`` job over ``p`` partitions of ``payloads``.
 
-    from pyspark.sql.types import LongType, StructField, StructType
+        The input is created, repartitioned and cached before the clock
+        starts, so the timed job is codec work plus task scheduling only.
+        """
+        pdf = pd.DataFrame({"method": method, "dtype": dtype, "payload": payloads})
+        df = spark.createDataFrame(pdf, schema=_CHUNK_SCHEMA).repartition(p).cache()
+        df.count()
+        try:
+            t0 = time.perf_counter()
+            n = df.mapInPandas(fn, schema=f"{column} long").count()
+            wall = time.perf_counter() - t0
+        finally:
+            df.unpersist()
+        assert n == len(payloads)
+        return wall
 
     # untimed warm-up: the first Spark job pays Python-worker startup and
     # codec-module import, which would be misattributed to the p=1 config
-    warm = spark.createDataFrame(work_pdf(chunks[:4]), schema=_WORK_SCHEMA)
-    warm.mapInPandas(
-        _compress_only, schema=StructType([StructField("comp_bytes", LongType())])
-    ).count()
+    timed_count(chunks[:4], _compress_only, "comp_bytes", 1)
 
     rows = []
     for p in partition_counts:
-        dfc = spark.createDataFrame(work_pdf(chunks), schema=_WORK_SCHEMA).repartition(p)
-        t0 = time.perf_counter()
-        n = dfc.mapInPandas(
-            _compress_only, schema=StructType([StructField("comp_bytes", LongType())])
-        ).count()
-        wall_c = time.perf_counter() - t0
-        assert n == len(chunks)
-        dfd = spark.createDataFrame(
-            work_pdf(comp_chunks), schema=_WORK_SCHEMA
-        ).repartition(p)
-        t0 = time.perf_counter()
-        n = dfd.mapInPandas(
-            _decompress_only, schema=StructType([StructField("orig_bytes", LongType())])
-        ).count()
-        wall_d = time.perf_counter() - t0
-        assert n == len(chunks)
+        wall_c = timed_count(chunks, _compress_only, "comp_bytes", p)
+        wall_d = timed_count(comp_chunks, _decompress_only, "orig_bytes", p)
         rows.append(
             {
                 "partitions": p,

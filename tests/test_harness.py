@@ -4,13 +4,17 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.codecs.base import load_codec
 from repro.core.harness import (
-    build_work_df,
+    Block,
     failures,
     harmonic_mean_cr,
     per_dataset_metrics,
+    plan_bins,
     run_benchmark,
+    run_bins,
 )
+from repro.data.corpus import generate, get_spec
 from repro.oracle import assert_equivalent
 
 FAST_METHODS = ["ndzip-C", "MPC", "nv::btcomp", "BUFF", "shf+zstd"]
@@ -89,28 +93,11 @@ class TestSparkSQLAggregationsOracle:
 
 class TestFailurePath:
     def test_buff_failure_recorded_not_raised(self, spark):
-        # hurricane analog contains huge dynamic range; inject NaN via a
-        # dedicated tiny run on a specials dataset: use BUFF on astro-pt
-        # (full-precision noise -> raw mode, fine) and on a NaN payload.
-        import pandas as pd
-
-        from repro.core.harness import _WORK_SCHEMA, _run_partition, RESULT_SCHEMA
-
+        # BUFF declines non-finite input: the NaN payload must come back
+        # as a "-" cell, not raise out of the executor
         arr = np.array([1.0, np.nan, 2.0])
-        pdf = pd.DataFrame(
-            {
-                "dataset": ["x"],
-                "domain": ["HPC"],
-                "method": ["BUFF"],
-                "block_id": [0],
-                "dtype": ["float64"],
-                "dims": [""],
-                "repeats": [1],
-                "payload": [arr.tobytes()],
-            }
-        )
-        df = spark.createDataFrame(pdf, schema=_WORK_SCHEMA)
-        res = df.mapInPandas(_run_partition, schema=RESULT_SCHEMA).toPandas()
+        block = Block("x", "HPC", 0, "float64", None, arr.tobytes())
+        res = run_bins(spark, [[block]], ["BUFF"]).toPandas()
         assert not res.ok.iloc[0]
         assert res.error.iloc[0].startswith("-")
         assert pd.isna(res.comp_bytes.iloc[0])
@@ -124,16 +111,12 @@ class TestFailurePath:
 
 
 class TestBlockMode:
-    def test_block_split_covers_all_bytes(self, spark):
-        work = build_work_df(
-            spark, ["nv::btcomp"], scale=0.05, datasets=["citytemp"], block_bytes=4096
-        )
-        pdf = work.toPandas()
-        from repro.data.corpus import generate, get_spec
-
+    def test_block_split_covers_all_bytes(self):
+        bins = plan_bins(4, scale=0.05, datasets=["citytemp"], block_bytes=4096)
+        sizes = pd.Series([len(b.payload) for bin_ in bins for b in bin_])
         arr = generate(get_spec("citytemp"), 0.05)
-        assert pdf.payload.map(len).sum() == arr.nbytes
-        assert (pdf.payload.map(len) % arr.dtype.itemsize == 0).all()
+        assert sizes.sum() == arr.nbytes
+        assert (sizes % arr.dtype.itemsize == 0).all()
 
     def test_blocked_roundtrip(self, spark):
         res = run_benchmark(
@@ -145,3 +128,50 @@ class TestBlockMode:
         ).toPandas()
         assert res.ok.all()
         assert res.block_id.max() > 0
+
+
+class TestPlanner:
+    """Driver-side placement: one bin per core, longest first by bytes."""
+
+    BLOCKED = dict(scale=0.05, datasets=["citytemp", "gas-price", "astro-mhd"], block_bytes=4096)
+
+    def test_every_block_in_exactly_one_bin(self):
+        bins = plan_bins(4, **self.BLOCKED)
+        placed = sorted((b.dataset, b.block_id) for bin_ in bins for b in bin_)
+        expected = []
+        for name in self.BLOCKED["datasets"]:
+            nbytes = generate(get_spec(name), 0.05).nbytes
+            expected += [(name, i) for i in range(-(-nbytes // 4096))]
+        assert placed == sorted(expected)
+
+    def test_bin_count_is_min_of_blocks_and_cores(self):
+        assert len(plan_bins(4, **TINY)) == 3  # one whole-dataset block each
+        assert len(plan_bins(2, **TINY)) == 2
+        assert len(plan_bins(4, **self.BLOCKED)) == 4
+
+    def test_largest_bin_within_lpt_bound(self):
+        bins = plan_bins(4, **self.BLOCKED)
+        loads = [sum(len(b.payload) for b in bin_) for bin_ in bins]
+        largest = max(len(b.payload) for bin_ in bins for b in bin_)
+        assert max(loads) <= sum(loads) / len(bins) + largest
+
+    def test_plan_ignores_dataset_order(self):
+        permuted = dict(self.BLOCKED, datasets=self.BLOCKED["datasets"][::-1])
+        assert plan_bins(4, **permuted) == plan_bins(4, **self.BLOCKED)
+        whole = dict(TINY, datasets=TINY["datasets"][::-1])
+        assert plan_bins(4, **whole) == plan_bins(4, **TINY)
+
+    def test_one_partition_per_bin(self, spark, results):
+        cores = spark.sparkContext.defaultParallelism
+        assert results.rdd.getNumPartitions() == min(3, cores)
+        blocked = run_benchmark(spark, ["nv::btcomp"], **self.BLOCKED)
+        assert blocked.rdd.getNumPartitions() == len(plan_bins(cores, **self.BLOCKED))
+
+    def test_sizes_match_in_process_codecs(self, results):
+        got = {(r.dataset, r.method): r.comp_bytes for r in results.collect()}
+        for name in TINY["datasets"]:
+            arr = generate(get_spec(name), TINY["scale"])
+            dims = arr.shape if arr.ndim > 1 else None
+            for m in FAST_METHODS:
+                blob = load_codec(m).compress(arr.reshape(-1), dims=dims)
+                assert got[(name, m)] == len(blob), (name, m)
