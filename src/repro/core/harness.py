@@ -177,41 +177,41 @@ def per_dataset_metrics(results: DataFrame) -> DataFrame:
 
     CT/DT are computed from the sums (§5.2: original size over time), and
     GPU-class methods' end-to-end times add the modeled PCIe transfers.
+
+    There is one row per cell, few enough for one partition: grouping
+    them there is one single-partition shuffle instead of one over
+    ``spark.sql.shuffle.partitions``. The expressions are SQL strings, so
+    the driver builds the plan in a handful of calls to the JVM.
     """
     from repro.core.devicemodel import PCIE_BYTES_PER_SEC
 
-    agg = (
-        results.where(F.col("ok"))
-        .groupBy("dataset", "domain", "method")
-        .agg(
-            F.sum("orig_bytes").alias("orig_bytes"),
-            F.sum("comp_bytes").alias("comp_bytes"),
-            F.sum("comp_ns").alias("comp_ns"),
-            F.sum("decomp_ns").alias("decomp_ns"),
-        )
-    )
-    is_gpu = F.col("method").isin(list(GPU_METHODS))
-    pcie = F.lit(PCIE_BYTES_PER_SEC)
-    comp_s = F.col("comp_ns") / 1e9
-    decomp_s = F.col("decomp_ns") / 1e9
+    sums = ("orig_bytes", "comp_bytes", "comp_ns", "decomp_ns")
+    gpu = ", ".join(f"'{m}'" for m in sorted(GPU_METHODS))
     # compress and decompress each move the original and the compressed
     # bytes across PCIe once, in opposite directions
-    xfer = (F.col("orig_bytes") + F.col("comp_bytes")) / pcie
-    return agg.select(
-        "dataset",
-        "domain",
-        "method",
-        "orig_bytes",
-        "comp_bytes",
-        (F.col("orig_bytes") / F.col("comp_bytes")).alias("cr"),
-        (F.col("orig_bytes") / comp_s / 1e9).alias("ct_gbs"),
-        (F.col("orig_bytes") / decomp_s / 1e9).alias("dt_gbs"),
-        (
-            F.when(is_gpu, (comp_s + xfer) * 1e3).otherwise(comp_s * 1e3)
-        ).alias("comp_wall_ms"),
-        (
-            F.when(is_gpu, (decomp_s + xfer) * 1e3).otherwise(decomp_s * 1e3)
-        ).alias("decomp_wall_ms"),
+    xfer = f"(orig_bytes + comp_bytes) / {PCIE_BYTES_PER_SEC!r}D"
+
+    def wall_ms(ns: str) -> str:
+        s = f"({ns} / 1e9)"
+        return f"CASE WHEN method IN ({gpu}) THEN ({s} + {xfer}) * 1e3 ELSE {s} * 1e3 END"
+
+    return (
+        results.where("ok")
+        .repartition(1)
+        .groupBy("dataset", "domain", "method")
+        .agg(*(F.expr(f"sum({c}) AS {c}") for c in sums))
+        .selectExpr(
+            "dataset",
+            "domain",
+            "method",
+            "orig_bytes",
+            "comp_bytes",
+            "orig_bytes / comp_bytes AS cr",
+            "orig_bytes / (comp_ns / 1e9) / 1e9 AS ct_gbs",
+            "orig_bytes / (decomp_ns / 1e9) / 1e9 AS dt_gbs",
+            f"{wall_ms('comp_ns')} AS comp_wall_ms",
+            f"{wall_ms('decomp_ns')} AS decomp_wall_ms",
+        )
     )
 
 
