@@ -16,29 +16,18 @@ whose XOR yields the most trailing zeros. Control codes:
 Leading zeros are rounded down to {0,8,12,16,18,20,22,24} as in Chimp.
 The sliding-window search is what buys Chimp its ratio over Gorilla at
 the cost of compression throughput (§3.5 Insights) — visible here too,
-since the index maintenance runs per value.
+since the index maintenance runs per value. The window/index walk and the
+decoder are sequential state machines in C (``chimp_fields`` and
+``chimp_decode`` in ``repro/native/kernels.c``); the emitted fields are
+packed by the vectorized ``pack_bits``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import BitReader, leading_zeros, pack_bits, trailing_zeros
-
-_PREV = 128  # window size (Chimp128)
-_PREV_LOG = 7
-_KEY_BITS = 14
-_THRESHOLD = 6 + _PREV_LOG
-_LEAD_ROUND = [0, 8, 12, 16, 18, 20, 22, 24]
-
-
-def _round_lead(lz: int) -> int:
-    """3-bit code of the largest table entry <= lz."""
-    code = 0
-    for i, v in enumerate(_LEAD_ROUND):
-        if lz >= v:
-            code = i
-    return code
+from repro.core.bitio import pack_bits
+from repro.native import check, i64, lib, u8, u64
 
 
 @register
@@ -49,121 +38,30 @@ class Chimp(Codec):
     )
 
     def _encode(self, words: np.ndarray, dims) -> bytes:
-        w_arr = np.ascontiguousarray(words).astype(np.uint64)
+        w = np.ascontiguousarray(words).astype(np.uint64)
         width = words.dtype.itemsize * 8
-        n = w_arr.size
+        n = w.size
         if n == 0:
             return b""
-        w = w_arr.tolist()
-        key_mask = (1 << _KEY_BITS) - 1
-        indices = [-(10**9)] * (1 << _KEY_BITS)
-        stored = [0] * _PREV
-        vals: list[int] = [w[0]]
-        nbits: list[int] = [width]
-        indices[w[0] & key_mask] = 0
-        stored[0] = w[0]
-        stored_lz = -1
-        for i in range(1, n):
-            v = w[i]
-            key = v & key_mask
-            cand_idx = indices[key]
-            if i - cand_idx < _PREV:
-                cand = stored[cand_idx % _PREV]
-                x = v ^ cand
-                tz = (x & -x).bit_length() - 1 if x else width
-            else:
-                cand_idx = i - 1
-                cand = stored[cand_idx % _PREV]
-                x = v ^ cand
-                tz = 0
-            if x == 0:
-                # 00 | index:7
-                vals.append((0b00 << _PREV_LOG) | (cand_idx % _PREV))
-                nbits.append(2 + _PREV_LOG)
-                stored_lz = -1
-            elif tz > _THRESHOLD:
-                # 01 | index:7 | lead:3 | center_len:6 | center bits
-                # (head and payload are separate pack entries; fused they
-                # could exceed pack_bits' 64-bit word)
-                lz = _LEAD_ROUND[_round_lead(width - x.bit_length())]
-                center = x >> tz
-                clen = width - lz - tz
-                head = (0b01 << _PREV_LOG | (cand_idx % _PREV)) << 3 | _round_lead(
-                    width - x.bit_length()
-                )
-                vals.append((head << 6) | (clen & 63))
-                nbits.append(2 + _PREV_LOG + 3 + 6)
-                vals.append(center)
-                nbits.append(clen)
-                stored_lz = -1
-            else:
-                prev = stored[(i - 1) % _PREV]
-                x = v ^ prev
-                if x == 0:
-                    vals.append((0b00 << _PREV_LOG) | ((i - 1) % _PREV))
-                    nbits.append(2 + _PREV_LOG)
-                    stored_lz = -1
-                else:
-                    lz = _LEAD_ROUND[_round_lead(width - x.bit_length())]
-                    blen = width - lz
-                    if lz == stored_lz:
-                        # 10 | bits
-                        vals.append(0b10)
-                        nbits.append(2)
-                    else:
-                        # 11 | lead:3 | bits
-                        vals.append(0b11 << 3 | _round_lead(lz))
-                        nbits.append(2 + 3)
-                        stored_lz = lz
-                    vals.append(x)
-                    nbits.append(blen)
-            idx = i % _PREV
-            stored[idx] = v
-            indices[key] = i
-        return pack_bits(
-            np.array(vals, dtype=np.uint64), np.array(nbits, dtype=np.int64)
-        )
+        # first value, then at most two fields (head, payload) per value;
+        # the payload is its own field because a fused one could exceed
+        # pack_bits' 64-bit word
+        vals = np.empty(2 * n - 1, dtype=np.uint64)
+        nbits = np.empty(2 * n - 1, dtype=np.int64)
+        k = check(lib.chimp_fields(u64(w), n, width, u64(vals), i64(nbits)))
+        return pack_bits(vals[:k], nbits[:k])
 
     def _decode(self, payload, dtype, count, dims):
         word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
         width = dtype.itemsize * 8
         if count == 0:
             return np.zeros(0, dtype=word_dt)
-        r = BitReader(payload)
-        read = r.read
+        # every value after the first takes at least a 2-bit flag: bound the
+        # header's count by the payload before allocating for it
+        if width + 2 * (count - 1) > 8 * len(payload):
+            raise ValueError("bitstream truncated")
         out = np.empty(count, dtype=np.uint64)
-        stored = [0] * _PREV
-        first = read(width)
-        out[0] = first
-        stored[0] = first
-        stored_lz = -1
-        for i in range(1, count):
-            flag = read(2)
-            if flag == 0b00:
-                idx = read(_PREV_LOG)
-                v = stored[idx]
-                stored_lz = -1
-            elif flag == 0b01:
-                idx = read(_PREV_LOG)
-                lz = _LEAD_ROUND[read(3)]
-                clen = read(6)
-                if clen == 0:
-                    clen = 64
-                tz = width - lz - clen
-                x = read(clen) << tz
-                v = stored[idx] ^ x
-                stored_lz = -1
-            elif flag == 0b10:
-                blen = width - stored_lz
-                x = read(blen)
-                v = stored[(i - 1) % _PREV] ^ x
-            else:
-                stored_lz = _LEAD_ROUND[read(3)]
-                blen = width - stored_lz
-                x = read(blen)
-                v = stored[(i - 1) % _PREV] ^ x
-            out[i] = v
-            stored[i % _PREV] = v
+        check(lib.chimp_decode(u8(payload), len(payload), width, count, u64(out)))
         if width == 32:
             return out.astype(np.uint32)
         return out

@@ -20,7 +20,8 @@ Workflow reproduced from Lindstrom & Isenburg 2006:
 Like fpzip, the predictor quality depends on being given the correct
 dimensionality (§3.1 Insights) — compressing a 3-D grid as 1-D degrades
 the Lorenzo predictor to a plain delta, which Table 9 measures. Serial
-in the original; entropy-decode is the only sequential loop here.
+in the original; here entropy decode is the only sequential loop, and it
+runs in C (``Huffman.decode``). Everything else stays vectorized NumPy.
 """
 from __future__ import annotations
 
@@ -90,6 +91,8 @@ class FpzipLike(Codec):
         width = dtype.itemsize * 8
         tlen = int.from_bytes(payload[:2], "little")
         hlen = int.from_bytes(payload[2:10], "little")
+        if len(payload) < 10 + tlen + hlen:
+            raise ValueError("bitstream truncated")
         huff, _ = Huffman.deserialize(payload[10 : 10 + tlen])
         sym = huff.decode(BitReader(payload[10 + tlen : 10 + tlen + hlen]), count)
         rem_bits = np.maximum(sym - 1, 0)

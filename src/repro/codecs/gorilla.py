@@ -15,17 +15,20 @@ Per value, XOR with the previous value, then:
   and remember this window for subsequent ``10`` codes.
 
 Compression precomputes XOR/LZ/TZ vectorized, walks the control-bit state
-machine in a Python loop (the window carries sequential state), and packs
-all emitted fields in one vectorized ``pack_bits``. Decode is the
-sequential BitReader walk the format requires. Gorilla is serial in the
-original too — this is the class of method the paper finds slowest.
+machine in C (``gorilla_fields`` in ``repro/native/kernels.c``; the window
+carries sequential state), and packs all emitted fields in one vectorized
+``pack_bits``. Decode is the sequential bit walk the format requires, also
+in C (``gorilla_decode``), with every read bounds-checked. Gorilla is
+serial in the original too — this is the class of method the paper finds
+slowest.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.codecs.base import Codec, MethodInfo, register
-from repro.core.bitio import BitReader, leading_zeros, pack_bits, trailing_zeros
+from repro.core.bitio import leading_zeros, pack_bits, trailing_zeros
+from repro.native import check, i64, lib, u8, u64
 
 _MAX_LZ = 31  # 5-bit leading-zero field
 
@@ -45,67 +48,27 @@ class Gorilla(Codec):
             return b""
         xor = w.copy()
         xor[1:] = w[1:] ^ w[:-1]
-        lz = np.minimum(leading_zeros(xor, width), _MAX_LZ).tolist()
-        tz = trailing_zeros(xor, width).tolist()
-        xor_l = xor.tolist()
-        vals: list[int] = [int(w[0])]
-        nbits: list[int] = [width]
-        prev_lz, prev_tz = -1, -1
-        for i in range(1, n):
-            x = xor_l[i]
-            if x == 0:
-                vals.append(0)
-                nbits.append(1)
-                continue
-            l, t = lz[i], tz[i]
-            # control fields and payload are separate pack entries: a fused
-            # field could exceed 64 bits (2+5+6+mlen), beyond pack_bits' word
-            if prev_lz >= 0 and l >= prev_lz and t >= prev_tz:
-                mlen = width - prev_lz - prev_tz
-                vals.append(0b10)
-                nbits.append(2)
-                vals.append(x >> prev_tz)
-                nbits.append(mlen)
-            else:
-                mlen = width - l - t
-                # field layout: 11 | lz:5 | mlen:6 (width stored as 0) | bits
-                vals.append((0b11 << 5 | l) << 6 | (mlen & 63))
-                nbits.append(2 + 5 + 6)
-                vals.append(x >> t)
-                nbits.append(mlen)
-                prev_lz, prev_tz = l, t
-        return pack_bits(
-            np.array(vals, dtype=np.uint64), np.array(nbits, dtype=np.int64)
-        )
+        lz = np.minimum(leading_zeros(xor, width), _MAX_LZ)
+        tz = trailing_zeros(xor, width)
+        # first value, then at most two fields (control, payload) per value;
+        # the payload is its own field because a fused one could exceed
+        # pack_bits' 64-bit word (2+5+6+mlen)
+        vals = np.empty(2 * n - 1, dtype=np.uint64)
+        nbits = np.empty(2 * n - 1, dtype=np.int64)
+        k = check(lib.gorilla_fields(u64(xor), i64(lz), i64(tz), n, width, u64(vals), i64(nbits)))
+        return pack_bits(vals[:k], nbits[:k])
 
     def _decode(self, payload, dtype, count, dims):
         word_dt = np.uint32 if dtype.itemsize == 4 else np.uint64
         width = dtype.itemsize * 8
         if count == 0:
             return np.zeros(0, dtype=word_dt)
-        r = BitReader(payload)
+        # every value after the first takes at least one bit: bound the
+        # header's count by the payload before allocating for it
+        if width + (count - 1) > 8 * len(payload):
+            raise ValueError("bitstream truncated")
         out = np.empty(count, dtype=np.uint64)
-        prev = r.read(width)
-        out[0] = prev
-        prev_lz = prev_tz = 0
-        read = r.read
-        for i in range(1, count):
-            if read(1) == 0:
-                out[i] = prev
-                continue
-            if read(1) == 0:  # reuse previous window
-                mlen = width - prev_lz - prev_tz
-                x = read(mlen) << prev_tz
-            else:
-                lz = read(5)
-                mlen = read(6)
-                if mlen == 0:  # 64 is stored as 0 (6-bit field); mlen >= 1 always
-                    mlen = 64
-                tz = width - lz - mlen
-                x = read(mlen) << tz
-                prev_lz, prev_tz = lz, tz
-            prev ^= x
-            out[i] = prev
+        check(lib.gorilla_decode(u8(payload), len(payload), width, count, u64(out)))
         if width == 32:
             return out.astype(np.uint32)
         return out

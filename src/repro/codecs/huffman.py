@@ -3,8 +3,10 @@
 Substitutes the fast range coder used by fpzip (DESIGN.md substitution #7):
 for the ≤65-symbol residual-length alphabets involved, Huffman is within a
 few percent of arithmetic coding's ratio while keeping encode fully
-vectorized (table lookup + ``pack_bits``). Decode is a per-symbol canonical
-walk over a :class:`~repro.core.bitio.BitReader`.
+vectorized (table lookup + ``pack_bits``). Decode is the per-symbol
+canonical walk, in C (``huffman_decode`` in ``repro/native/kernels.c``),
+over the buffer of a :class:`~repro.core.bitio.BitReader` from its
+position on.
 """
 from __future__ import annotations
 
@@ -14,6 +16,9 @@ from itertools import count
 import numpy as np
 
 from repro.core.bitio import BitReader, pack_bits
+from repro.native import check, i64, lib, u8, u64
+
+_MAX_LEN = 64  # pack_bits' word: longer codes cannot be written
 
 
 def code_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -48,21 +53,26 @@ class Huffman:
         self.lengths = np.asarray(lengths, dtype=np.uint8)
         order = np.lexsort((np.arange(self.lengths.size), self.lengths))
         order = order[self.lengths[order] > 0]
-        self.sorted_syms = order
+        self.sorted_syms = order.astype(np.int64)
         self.codes = np.zeros(self.lengths.size, dtype=np.uint64)
-        # canonical assignment: increasing (length, symbol)
-        self.first_code: dict[int, int] = {}
-        self.first_idx: dict[int, int] = {}
-        self.counts: dict[int, int] = {}
+        # canonical assignment: increasing (length, symbol). The codes of
+        # length L are first_code[L] .. first_code[L] + counts[L] - 1, for the
+        # symbols sorted_syms[first_idx[L]:][:counts[L]].
+        self.first_code = np.zeros(_MAX_LEN + 1, dtype=np.uint64)
+        self.first_idx = np.zeros(_MAX_LEN + 1, dtype=np.int64)
+        self.counts = np.zeros(_MAX_LEN + 1, dtype=np.int64)
         code = 0
         prev_len = 0
         for idx, s in enumerate(order):
             L = int(self.lengths[s])
             code <<= L - prev_len
-            if L not in self.first_code:
+            # only a forged table has codes over 64 bits or breaks the Kraft
+            # inequality, which runs out of L-bit codes
+            if L > _MAX_LEN or code >> L:
+                raise ValueError("corrupt Huffman table")
+            if self.counts[L] == 0:
                 self.first_code[L] = code
                 self.first_idx[L] = idx
-                self.counts[L] = 0
             self.codes[s] = code
             self.counts[L] += 1
             code += 1
@@ -81,22 +91,18 @@ class Huffman:
         return int(self.lengths[np.asarray(symbols, dtype=np.int64)].sum())
 
     def decode(self, reader: BitReader, n: int) -> np.ndarray:
+        """Decode ``n`` symbols from ``reader.buf`` at ``reader.pos``; advance it."""
+        buf = reader.buf
+        # every symbol takes at least one bit: bound n before allocating
+        if n > 8 * len(buf) - reader.pos:
+            raise ValueError("bitstream truncated")
         out = np.empty(n, dtype=np.int64)
-        first_code, first_idx, counts = self.first_code, self.first_idx, self.counts
-        syms = self.sorted_syms
-        read = reader.read
-        for i in range(n):
-            code = 0
-            length = 0
-            while True:
-                code = (code << 1) | read(1)
-                length += 1
-                fc = first_code.get(length)
-                if fc is not None and code - fc < counts[length]:
-                    out[i] = syms[first_idx[length] + (code - fc)]
-                    break
-                if length > 64:
-                    raise ValueError("corrupt Huffman stream")
+        reader.pos = check(
+            lib.huffman_decode(
+                u8(buf), len(buf), reader.pos, u64(self.first_code), i64(self.first_idx),
+                i64(self.counts), i64(self.sorted_syms), n, i64(out),
+            )
+        )
         return out
 
     def serialize(self) -> bytes:
@@ -104,6 +110,8 @@ class Huffman:
 
     @classmethod
     def deserialize(cls, buf: bytes, off: int = 0) -> tuple["Huffman", int]:
+        if off >= len(buf):
+            raise ValueError("bitstream truncated")
         size = buf[off]
         lengths = np.frombuffer(buf, dtype=np.uint8, count=size, offset=off + 1)
         return cls(lengths), off + 1 + size

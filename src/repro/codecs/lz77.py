@@ -12,112 +12,36 @@ LZ4-like:
 The last sequence carries literals only (stream ends after them), exactly
 like the LZ4 block format. Offsets are bounded by a 64 KiB window.
 
-Pure Python by design — the container has no LZ4/zstd wheels and no
-network; see DESIGN.md substitution #2. Skip acceleration (step grows on
-successive misses) keeps throughput tolerable on incompressible float data.
+LZ4 and zstd bindings are not dependencies (DESIGN.md substitution #2),
+so the match search and the decoder are our own, written in C
+(``lz_compress``/``lz_decompress`` in ``repro/native/kernels.c``).
+Matches are exact: the candidate for a position is the latest earlier
+visited position with the same 4-byte key, not LZ4's lossy hash slot. Skip
+acceleration (step grows on successive misses) keeps throughput tolerable
+on incompressible float data. The decoder validates the whole stream, every
+offset included, before it writes any output.
 """
 from __future__ import annotations
 
-_MIN_MATCH = 4
-_MAX_OFFSET = 0xFFFF
-
-
-def _write_varnib(out: bytearray, v: int) -> None:
-    """Write the extension bytes for a nibble value of 15 (LZ4 style)."""
-    v -= 15
-    while v >= 255:
-        out.append(255)
-        v -= 255
-    out.append(v)
+from repro.native import check, ffi, lib, u8
 
 
 def lz_compress(data: bytes, *, skip_trigger: int = 6) -> bytes:
     """Compress ``data``; always round-trips through :func:`lz_decompress`."""
-    data = bytes(data)
-    n = len(data)
-    out = bytearray()
-    if n == 0:
-        return bytes(out)
-    table: dict[bytes, int] = {}
-    anchor = 0
-    i = 0
-    search = 1 << skip_trigger
-    while i < n - _MIN_MATCH:
-        key = data[i : i + 4]
-        j = table.get(key, -1)
-        table[key] = i
-        if j >= 0 and i - j <= _MAX_OFFSET:
-            # extend the guaranteed 4-byte match (8-byte strides, then bytes)
-            l = 4
-            maxl = n - i
-            while l + 8 <= maxl and data[i + l : i + l + 8] == data[j + l : j + l + 8]:
-                l += 8
-            while l < maxl and data[i + l] == data[j + l]:
-                l += 1
-            _emit(out, data, anchor, i, i - j, l)
-            i += l
-            anchor = i
-            search = 1 << skip_trigger
-        else:
-            i += search >> skip_trigger
-            search += 1
-    # final literal-only sequence
-    ll = n - anchor
-    token = min(ll, 15) << 4
-    out.append(token)
-    if ll >= 15:
-        _write_varnib(out, ll)
-    out += data[anchor:n]
-    return bytes(out)
-
-
-def _emit(out: bytearray, data: bytes, anchor: int, i: int, off: int, mlen: int) -> None:
-    ll = i - anchor
-    ml = mlen - _MIN_MATCH
-    out.append((min(ll, 15) << 4) | min(ml, 15))
-    if ll >= 15:
-        _write_varnib(out, ll)
-    out += data[anchor:i]
-    out += off.to_bytes(2, "little")
-    if ml >= 15:
-        _write_varnib(out, ml)
+    if not 0 <= skip_trigger < 32:
+        raise ValueError(f"skip_trigger must be in [0, 32), got {skip_trigger}")
+    src = u8(data)
+    n = len(src)
+    cap = n + n // 8 + 64  # worst case n + n/15 + 1: literal-run extension bytes
+    out = ffi.new("uint8_t[]", cap)
+    size = check(lib.lz_compress(src, n, out, cap, skip_trigger))
+    return ffi.buffer(out, size)[:]
 
 
 def lz_decompress(blob: bytes) -> bytes:
-    """Inverse of :func:`lz_compress`."""
-    blob = bytes(blob)
-    n = len(blob)
-    out = bytearray()
-    p = 0
-    while p < n:
-        token = blob[p]
-        p += 1
-        ll = token >> 4
-        if ll == 15:
-            while True:
-                b = blob[p]
-                p += 1
-                ll += b
-                if b < 255:
-                    break
-        out += blob[p : p + ll]
-        p += ll
-        if p >= n:  # final literal-only sequence
-            break
-        off = int.from_bytes(blob[p : p + 2], "little")
-        p += 2
-        ml = (token & 0xF) + _MIN_MATCH
-        if (token & 0xF) == 15:
-            while True:
-                b = blob[p]
-                p += 1
-                ml += b
-                if b < 255:
-                    break
-        start = len(out) - off
-        if off >= ml:
-            out += out[start : start + ml]
-        else:  # overlapping copy replicates the window, byte at a time
-            for k in range(ml):
-                out.append(out[start + k])
-    return bytes(out)
+    """Inverse of :func:`lz_compress`; ``ValueError`` on a malformed stream."""
+    src = u8(blob)
+    size = check(lib.lz_decompress(src, len(src), ffi.NULL, 0))  # validate and size
+    out = ffi.new("uint8_t[]", max(size, 1))
+    check(lib.lz_decompress(src, len(src), out, size))
+    return ffi.buffer(out, size)[:]

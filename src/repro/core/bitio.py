@@ -6,9 +6,10 @@ Conventions
   bit of the first byte. ``np.packbits``/``np.unpackbits`` use the same
   convention, which keeps the vectorized and sequential paths compatible.
 * ``pack_bits``/``unpack_bits`` are fully vectorized (used by codecs whose
-  per-value bit widths are known up front). ``BitReader`` is the sequential
-  fallback for formats whose widths are only discovered during decode
-  (Gorilla, Chimp, Huffman).
+  per-value bit widths are known up front). Formats whose widths are only
+  discovered during decode (Gorilla, Chimp, Huffman) are walked by the C
+  kernels in ``repro.native`` with the same convention; ``BitReader``
+  carries a buffer and bit position between such decoders.
 * Values are carried as ``uint64`` regardless of the source precision.
 """
 from __future__ import annotations
@@ -167,7 +168,8 @@ class BitReader:
     """Sequential MSB-first bit reader over a bytes buffer.
 
     Each read slices only the bytes it needs, so cost is O(bits read), not
-    O(buffer) — fast enough for per-value decode loops (Gorilla/Chimp).
+    O(buffer). ``Huffman.decode`` reads ``buf`` from ``pos`` natively and
+    advances ``pos``.
     """
 
     def __init__(self, buf: bytes, start_bit: int = 0) -> None:

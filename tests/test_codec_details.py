@@ -86,6 +86,63 @@ class TestChimpVsGorilla:
         assert len(blob) < 11 + 8 + 10000 // 8 + 16
 
 
+class TestGorillaFullWidth:
+    def test_64_bit_window_stored_as_zero(self):
+        """An XOR with both end bits set has 64 meaningful bits: field value 0."""
+        words = np.array([0, 0x8000000000000001, 0, 1 << 63, 1], dtype=np.uint64)
+        codec = load_codec("Gorilla")
+        blob = codec.compress(words.view(np.float64))
+        # after the 11-byte envelope and the first 64-bit value: 11 | lz 0 | mlen 0
+        assert blob[19] == 0b11000000 and blob[20] >> 3 == 0
+        np.testing.assert_array_equal(codec.decompress(blob).view(np.uint64), words)
+
+
+#: The codecs whose sequential decoders are native: LZ77 users and the
+#: serial bit-stream codecs.
+_NATIVE_DECODERS = ["Gorilla", "Chimp", "fpzip", "shf+LZ4", "nv::LZ4", "SPDP"]
+_HEADER = 11  # envelope of a 1-D blob: magic, dtype, ndims, count
+
+
+def _small_blob(method, dtype):
+    g = np.random.default_rng(8)
+    x = np.round(np.cumsum(g.normal(size=200)), 2).astype(dtype)
+    return x, load_codec(method).compress(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("method", _NATIVE_DECODERS)
+class TestCorruptBlobs:
+    def test_truncation_at_every_byte_raises(self, method, dtype):
+        _, blob = _small_blob(method, dtype)
+        codec = load_codec(method)
+        for k in range(_HEADER, len(blob)):
+            with pytest.raises(ValueError):
+                codec.decompress(blob[:k])
+
+    def test_byte_flips_raise_or_keep_count(self, method, dtype):
+        """No flip crashes the decoder; without a checksum it may decode wrongly."""
+        x, blob = _small_blob(method, dtype)
+        codec = load_codec(method)
+        for k in range(_HEADER, len(blob)):
+            bad = bytearray(blob)
+            bad[k] ^= 0x5A
+            try:
+                out = codec.decompress(bytes(bad))
+            except ValueError:
+                continue
+            assert out.dtype == x.dtype and out.size == x.size
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("method", ["Gorilla", "Chimp", "fpzip"])
+def test_forged_count_raises_before_allocating(method, dtype):
+    """Their decoders bound count by the payload's bits (LZ77 codecs frame by bytes)."""
+    _, blob = _small_blob(method, dtype)
+    forged = blob[:3] + (1 << 50).to_bytes(8, "little") + blob[_HEADER:]
+    with pytest.raises(ValueError, match="truncated"):
+        load_codec(method).decompress(forged)
+
+
 class TestNdzipDims:
     def test_3d_beats_1d_on_separable_field(self):
         t = np.linspace(0, 3, 48)

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codecs.huffman import Huffman, code_lengths
-from repro.core.bitio import BitReader
+from repro.core.bitio import BitReader, pack_bits
+
+
+def _fibonacci(k: int) -> list[int]:
+    f = [1, 1]
+    while len(f) < k:
+        f.append(f[-1] + f[-2])
+    return f
 
 
 class TestCodeLengths:
@@ -49,6 +56,27 @@ class TestHuffmanRoundtrip:
     def test_single_distinct_symbol(self):
         self._roundtrip(np.full(100, 3), 8)
 
+    @pytest.mark.parametrize(
+        "symbols",
+        [[], [5], list(range(65)), np.repeat(np.arange(24), _fibonacci(24)).tolist()],
+        ids=["empty", "one", "wide", "deep"],  # deep: Fibonacci counts, 23-bit codes
+    )
+    def test_edge_cases(self, symbols):
+        self._roundtrip(np.array(symbols, dtype=np.int64), 65)
+
+    def test_decode_starts_at_and_advances_reader_pos(self):
+        g = np.random.default_rng(4)
+        syms = g.integers(0, 6, 300)
+        h = Huffman.from_symbols(syms, 6)
+        # 3 unrelated bits, then the symbols' codes
+        buf = pack_bits(
+            np.concatenate([np.array([0b101], dtype=np.uint64), h.codes[syms]]),
+            np.concatenate([[3], h.lengths[syms].astype(np.int64)]),
+        )
+        r = BitReader(buf, start_bit=3)
+        np.testing.assert_array_equal(h.decode(r, syms.size), syms)
+        assert r.pos == 3 + h.encoded_bits(syms)
+
     def test_two_symbols(self):
         self._roundtrip(np.array([0, 1, 0, 0, 1]), 2)
 
@@ -70,3 +98,33 @@ class TestHuffmanRoundtrip:
         syms = g.integers(0, 5, 777)
         h = Huffman.from_symbols(syms, 5)
         assert (h.encoded_bits(syms) + 7) // 8 == len(h.encode(syms))
+
+
+class TestMalformed:
+    def test_count_bounded_by_stream_bits(self):
+        """A forged count fails before allocating: >= 1 bit per symbol."""
+        h = Huffman.from_symbols(np.array([0, 1, 1]), 2)
+        with pytest.raises(ValueError, match="truncated"):
+            h.decode(BitReader(b"\x00" * 4), 1 << 50)
+
+    def test_truncated_stream(self):
+        g = np.random.default_rng(5)
+        syms = g.integers(0, 9, 500)
+        h = Huffman.from_symbols(syms, 9)
+        buf = h.encode(syms)
+        for k in range(len(buf)):
+            with pytest.raises(ValueError, match="truncated"):
+                h.decode(BitReader(buf[:k]), syms.size)
+
+    def test_no_code_matches(self):
+        # one symbol, code "0": a stream of 1 bits never decodes
+        h = Huffman(np.array([1], dtype=np.uint8))
+        with pytest.raises(ValueError, match="corrupt"):
+            h.decode(BitReader(b"\xff" * 16), 1)
+
+    @pytest.mark.parametrize(
+        "lengths", [[1, 1, 1], [65, 1]], ids=["over-kraft", "too-long"]
+    )
+    def test_invalid_table_rejected(self, lengths):
+        with pytest.raises(ValueError, match="corrupt Huffman table"):
+            Huffman(np.array(lengths, dtype=np.uint8))
