@@ -51,24 +51,26 @@ _ERR_NOMEM = -4
 def _library() -> Path:
     """Path of the compiled kernels, building it first if it is missing."""
     digest = hashlib.sha256(_SRC.read_bytes()).hexdigest()
-    lib = _BUILD / f"kernels-{digest}.so"
-    if lib.exists():
-        return lib
+    path = _BUILD / f"kernels-{digest}.so"
+    if path.exists():
+        return path
     _BUILD.mkdir(exist_ok=True)
     with open(_BUILD / ".lock", "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        if not lib.exists():  # another process may have built it while we waited
-            tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+        if not path.exists():  # another process may have built it while we waited
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             try:
-                subprocess.run(
+                gcc = subprocess.run(
                     ["gcc", "-O2", "-shared", "-fPIC", "-o", str(tmp), str(_SRC)],
-                    check=True,
                     capture_output=True,
+                    text=True,
                 )
-                os.replace(tmp, lib)
+                if gcc.returncode != 0:
+                    raise RuntimeError(f"gcc could not build {_SRC}:\n{gcc.stderr}")
+                os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
-    return lib
+    return path
 
 
 ffi = cffi.FFI()
