@@ -172,19 +172,28 @@ def run_benchmark(
     return run_bins(spark, bins, methods, repeats)
 
 
+#: Modeled host<->device rate for the GPU-class codecs (§6.1.4). There is
+#: no GPU (DESIGN.md substitution #3): their kernels run as vectorized
+#: NumPy, and their end-to-end wall time adds this transfer, the overhead
+#: Observation 5 names as why ndzip-CPU beats ndzip-GPU end to end. 12 GB/s
+#: is a typical effective PCIe 3.0 x16 rate, the bus of the paper's Quadro
+#: RTX 6000 platform.
+PCIE_BYTES_PER_SEC = 12e9
+
+
 def per_dataset_metrics(results: DataFrame) -> DataFrame:
     """CR/CT/DT per (dataset, method) — Spark SQL over the raw results.
 
     CT/DT are computed from the sums (§5.2: original size over time), and
     GPU-class methods' end-to-end times add the modeled PCIe transfers.
+    A cell with any failed block is the paper's "-": it has no row here,
+    and :func:`failures` lists it.
 
     There is one row per cell, few enough for one partition: grouping
     them there is one single-partition shuffle instead of one over
     ``spark.sql.shuffle.partitions``. The expressions are SQL strings, so
     the driver builds the plan in a handful of calls to the JVM.
     """
-    from repro.core.devicemodel import PCIE_BYTES_PER_SEC
-
     sums = ("orig_bytes", "comp_bytes", "comp_ns", "decomp_ns")
     gpu = ", ".join(f"'{m}'" for m in sorted(GPU_METHODS))
     # compress and decompress each move the original and the compressed
@@ -196,10 +205,10 @@ def per_dataset_metrics(results: DataFrame) -> DataFrame:
         return f"CASE WHEN method IN ({gpu}) THEN ({s} + {xfer}) * 1e3 ELSE {s} * 1e3 END"
 
     return (
-        results.where("ok")
-        .repartition(1)
+        results.repartition(1)
         .groupBy("dataset", "domain", "method")
-        .agg(*(F.expr(f"sum({c}) AS {c}") for c in sums))
+        .agg(*(F.expr(f"sum({c}) AS {c}") for c in sums), F.expr("bool_and(ok) AS ok"))
+        .where("ok")
         .selectExpr(
             "dataset",
             "domain",

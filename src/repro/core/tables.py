@@ -1,9 +1,10 @@
 """Builders that turn harness results into the paper's evaluation tables.
 
 One full sweep (33 datasets × 14 methods) feeds Tables 4, 5 and 6, as in
-the paper; Tables 7/8 (scaling), 9 (dimension info) and 10 (block sizes)
-run their own parameterized sweeps. Each builder returns pandas frames
-shaped like the printed tables so jobs/benchmarks just format them.
+the paper; Tables 9 (dimension info) and 10 (block sizes) run their own
+parameterized sweeps, and Tables 7/8 come from
+``harness.scaling_benchmark``. Each builder returns a pandas frame shaped
+like the printed table, so ``repro.run`` only lays the frames out.
 """
 from __future__ import annotations
 
@@ -34,12 +35,9 @@ def full_sweep(
     scale: float = 1.0,
     methods=tuple(TABLE4_METHODS),
     datasets=None,
-    repeats: int = 1,
 ) -> DataFrame:
     """The main 33×14 sweep feeding Tables 4/5/6 (cached)."""
-    return run_benchmark(
-        spark, methods, scale=scale, datasets=datasets, repeats=repeats
-    ).cache()
+    return run_benchmark(spark, methods, scale=scale, datasets=datasets).cache()
 
 
 def metrics_pdf(results: DataFrame) -> pd.DataFrame:
@@ -121,15 +119,14 @@ def table6(metrics: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def table9(spark: SparkSession, *, scale: float = 1.0, repeats: int = 1) -> pd.DataFrame:
+def table9(spark: SparkSession, *, scale: float = 1.0) -> pd.DataFrame:
     """Table 9: dimension information's influence on CR (md vs 1d) + p-values."""
     multi = [s.name for s in corpus() if len(s.extent) > 1]
     rows = {}
     per_method_crs: dict[tuple[str, str], list[float]] = {}
     for label, use_dims in (("md", True), ("1d", False)):
         res = run_benchmark(
-            spark, DIM_METHODS, scale=scale, datasets=multi,
-            use_dims=use_dims, repeats=repeats,
+            spark, DIM_METHODS, scale=scale, datasets=multi, use_dims=use_dims
         )
         m = metrics_pdf(res)
         for meth in DIM_METHODS:
@@ -151,14 +148,12 @@ def table10(
     block_sizes=(4096, 65536, 8 << 20),
     methods=tuple(TABLE10_METHODS),
     datasets=None,
-    repeats: int = 1,
 ) -> pd.DataFrame:
     """Table 10: CR/CT/DT per method under 4K / 64K / 8M block sizes."""
     frames = []
     for bs in block_sizes:
         res = run_benchmark(
-            spark, methods, scale=scale, datasets=datasets,
-            block_bytes=bs, repeats=repeats,
+            spark, methods, scale=scale, datasets=datasets, block_bytes=bs
         )
         m = metrics_pdf(res)
         agg = pd.DataFrame(

@@ -102,6 +102,22 @@ class TestFailurePath:
         assert res.error.iloc[0].startswith("-")
         assert pd.isna(res.comp_bytes.iloc[0])
 
+    def test_cell_with_a_failed_block_is_dash(self, spark):
+        # BUFF declines block 1's NaN: the whole x/BUFF cell is "-", not a
+        # CR from block 0 alone; Gorilla's cell keeps both blocks
+        good = np.linspace(0.0, 1.0, 512)
+        bad = good.copy()
+        bad[3] = np.nan
+        blocks = [
+            Block("x", "HPC", i, "float64", None, a.tobytes())
+            for i, a in enumerate((good, bad))
+        ]
+        res = run_bins(spark, [blocks], ["BUFF", "Gorilla"])
+        m = per_dataset_metrics(res).toPandas()
+        assert list(m.method) == ["Gorilla"]
+        assert m.orig_bytes.iloc[0] == 8192
+        assert failures(res).toPandas().method.tolist() == ["BUFF"]
+
     def test_failures_view(self, spark):
         res = run_benchmark(
             spark, ["BUFF", "ndzip-C"], scale=0.05, datasets=["astro-pt"]
