@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import time
+import zipimport
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -80,9 +81,12 @@ def plan_bins(
     ``min(#blocks, cores)`` bins, filled longest first by payload bytes
     (LPT): every block runs the same methods, so bytes is the cost proxy.
     Ties break on (dataset, block_id), so the plan depends only on the
-    inputs, not on the order of ``datasets``.
+    inputs, not on the order of ``datasets``. ``datasets=None`` means the
+    whole corpus; an empty selection is an error.
     """
-    specs = [get_spec(n) for n in datasets] if datasets else corpus()
+    if datasets is not None and not datasets:
+        raise ValueError("datasets is empty; pass None for the whole corpus")
+    specs = corpus() if datasets is None else [get_spec(n) for n in datasets]
     blocks = []
     for spec in specs:
         arr = generate(spec, scale)
@@ -101,6 +105,36 @@ def plan_bins(
         bins[i].append(b)
         heapq.heappush(loads, (load + len(b.payload), i))
     return bins
+
+
+def _keep_zip_directory(self) -> None:
+    """``zipimporter.invalidate_caches`` that keeps the directory it read."""
+
+
+def _executor_setup() -> None:
+    """Stop this Python worker re-reading its zip archives on every task.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` before every
+    task (``worker_util.setup_spark_files``). On CPython 3.11 and 3.12
+    that makes each cached ``zipimporter`` re-read its archive's whole
+    central directory, and a worker caches 16 of them: 12 over
+    ``pyspark.zip``, 2 over the spark-core jar and 2 over py4j. Timed
+    inside warm workers on a 4-core container, one call took 151-239 ms,
+    about half of a no-op 4-task ``mapInPandas`` job. From here on, for
+    the life of this worker, the call leaves zip archives alone;
+    ``FileFinder`` directories are still invalidated as before.
+
+    This is safe because the archives already on the worker's path are
+    Spark's install files, which nothing rewrites while it runs. A zip
+    shipped later (``addPyFile``) is a new path, so it gets a new importer
+    that reads its directory when it is built. Only an archive
+    overwritten in place at an existing path would be missed.
+
+    Workers are reused across tasks, so each executor entry point calls
+    this first: every later task in that worker skips the re-read. It is
+    idempotent. Only executor entry points call it, never the driver.
+    """
+    zipimport.zipimporter.invalidate_caches = _keep_zip_directory
 
 
 def _run_block(block: Block, method: str, repeats: int) -> tuple:
@@ -149,6 +183,7 @@ def run_bins(
     methods, n = list(methods), len(bins)
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        _executor_setup()
         for pdf in batches:
             for i in pdf["id"]:
                 recs = [_run_block(b, m, repeats) for b in bins[i] for m in methods]
@@ -243,6 +278,7 @@ _CHUNK_SCHEMA = "method string, dtype string, payload binary"
 
 
 def _compress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    _executor_setup()
     from repro.codecs.base import load_codec
 
     for pdf in batches:
@@ -255,6 +291,7 @@ def _compress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
 
 
 def _decompress_only(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    _executor_setup()
     from repro.codecs.base import load_codec
 
     for pdf in batches:
@@ -313,9 +350,16 @@ def scaling_benchmark(
         assert n == len(payloads)
         return wall
 
-    # untimed warm-up: the first Spark job pays Python-worker startup and
-    # codec-module import, which would be misattributed to the p=1 config
-    timed_count(chunks[:4], _compress_only, "comp_bytes", 1)
+    # untimed warm-up, one task per core, each with one chunk: a job that
+    # needs a new Python worker pays its startup and codec import, which
+    # would otherwise land in the first timed job to run that many tasks
+    cores = spark.sparkContext.defaultParallelism
+    warm = spark.range(0, cores, 1, cores).select(
+        F.lit(method).alias("method"),
+        F.lit(dtype).alias("dtype"),
+        F.lit(chunks[0]).alias("payload"),
+    )
+    assert warm.mapInPandas(_compress_only, schema="comp_bytes long").count() == cores
 
     rows = []
     for p in partition_counts:

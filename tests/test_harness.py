@@ -177,6 +177,11 @@ class TestPlanner:
         whole = dict(TINY, datasets=TINY["datasets"][::-1])
         assert plan_bins(4, **whole) == plan_bins(4, **TINY)
 
+    def test_empty_selection_is_an_error(self):
+        """Only ``None`` means the whole corpus."""
+        with pytest.raises(ValueError, match="datasets"):
+            plan_bins(4, scale=0.05, datasets=[])
+
     def test_one_partition_per_bin(self, spark, results):
         cores = spark.sparkContext.defaultParallelism
         assert results.rdd.getNumPartitions() == min(3, cores)
